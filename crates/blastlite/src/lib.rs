@@ -45,6 +45,7 @@
 pub mod abst;
 pub mod checker;
 pub mod driver;
+mod idhash;
 pub mod reach;
 pub mod refine;
 pub mod session;

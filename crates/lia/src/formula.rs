@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// A quantifier-free formula over linear integer atoms.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Formula {
     /// Constant true.
     True,

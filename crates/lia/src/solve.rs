@@ -128,7 +128,7 @@ impl Solver {
 
     /// Decides satisfiability of `f`.
     pub fn check(&self, f: &Formula) -> SatResult {
-        obs::counter("lia.checks").inc();
+        obs::counter!("lia.checks").inc();
         *self.current.borrow_mut() = {
             let attached = self.attached.borrow();
             match self.cfg.time_budget {
@@ -139,7 +139,7 @@ impl Solver {
         let nnf = f.simplify().to_nnf();
         let mut splits = 0usize;
         let result = self.split(&mut Vec::new(), &mut vec![nnf], &mut splits);
-        obs::counter("lia.splits").add(splits as u64);
+        obs::counter!("lia.splits").add(splits as u64);
         // Verify any model against the *original* formula.
         match result {
             SatResult::Sat(m) => {
@@ -426,7 +426,7 @@ impl Solver {
     /// `None` if the system is unsatisfiable.
     #[allow(clippy::type_complexity)]
     fn fm_eliminate(&self, mut les: Vec<LinTerm>) -> Res<Option<Vec<(SymId, Vec<LinTerm>)>>> {
-        let fm_pairings = obs::counter("lia.fm_pairings");
+        let fm_pairings = obs::counter!("lia.fm_pairings");
         let mut elim: Vec<(SymId, Vec<LinTerm>)> = Vec::new();
         loop {
             if self.expired() {

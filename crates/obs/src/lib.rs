@@ -17,7 +17,7 @@
 //!
 //! # Metrics
 //!
-//! [`counter`] and [`histogram`] return `'static` handles registered by
+//! [`counter()`] and [`histogram`] return `'static` handles registered by
 //! name on first use. Counters are monotonic sums over relaxed atomics,
 //! which makes them *deterministic across worker counts*: the same
 //! workload yields the same totals under `--jobs 1` and `--jobs 4`.
@@ -421,9 +421,9 @@ pub fn write_spans_to(path: &str, spans: &[SpanRecord]) -> Result<(), String> {
 // Metrics
 // ---------------------------------------------------------------------
 
-/// A monotonic counter. Obtain via [`counter`]; hoist the handle out of
-/// hot loops (or batch with [`Counter::add`]) rather than re-looking it
-/// up per iteration.
+/// A monotonic counter. Obtain via [`counter()`] or [`counter!`]; hoist
+/// the handle out of hot loops (or batch with [`Counter::add`]) rather
+/// than re-looking it up per iteration.
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
@@ -679,6 +679,19 @@ pub fn counter(name: &'static str) -> &'static Counter {
     c
 }
 
+/// The counter registered under `name`, resolved once per call site:
+/// `obs::counter!("lia.checks").inc()`. The handle is cached in a
+/// `static` at the expansion site, so calls after the first skip the
+/// registry lock and its name lookup. Use it on hot paths.
+#[macro_export]
+macro_rules! counter {
+    ($name:literal) => {{
+        static HANDLE: ::std::sync::OnceLock<&'static $crate::Counter> =
+            ::std::sync::OnceLock::new();
+        *HANDLE.get_or_init(|| $crate::counter($name))
+    }};
+}
+
 /// The histogram registered under `name` (created on first use).
 pub fn histogram(name: &'static str) -> &'static Histogram {
     let mut reg = lock(histogram_registry());
@@ -748,6 +761,23 @@ mod tests {
         }
         assert!(take_spans().is_empty());
         assert_eq!(counter("never.count").get(), 0);
+    }
+
+    #[test]
+    fn counter_macro_resolves_to_the_registered_counter() {
+        let _g = guard();
+        set_enabled(true);
+        reset();
+        for _ in 0..3 {
+            crate::counter!("macro.count").inc();
+        }
+        crate::counter!("macro.count").add(2);
+        set_enabled(false);
+        assert!(std::ptr::eq(
+            crate::counter!("macro.count"),
+            counter("macro.count")
+        ));
+        assert_eq!(counters()["macro.count"], 5);
     }
 
     #[test]

@@ -971,12 +971,24 @@ impl Server {
         // daemon: any worker is enough to serve, and a missing sampler
         // only loses periodic snapshots. Only zero workers — or no
         // reactor — is fatal (nothing would ever be served).
+        // Each worker counts as alive before its thread exists, so a
+        // `ping` answered right after `start` returns sees every worker.
+        // The thread's first run takes over that registration; a failed
+        // spawn drops it with the closure.
         let workers: Vec<JoinHandle<()>> = (0..jobs)
             .filter_map(|i| {
                 let shared = shared.clone();
+                let mut registered = Some(Alive::register(&shared));
                 std::thread::Builder::new()
                     .name(format!("pathslice-worker-{i}"))
-                    .spawn(move || supervised(&shared, "worker", || worker_loop(&shared, i)))
+                    .spawn(move || {
+                        supervised(&shared, "worker", || {
+                            let alive = registered
+                                .take()
+                                .unwrap_or_else(|| Alive::register(&shared));
+                            worker_loop(&shared, i, alive)
+                        })
+                    })
                     .ok()
             })
             .collect();
@@ -1306,18 +1318,26 @@ fn journal_stats_json(j: &JournalStats) -> Json {
     ])
 }
 
-fn worker_loop(shared: &Arc<Shared>, home: usize) {
-    // Liveness accounting survives panics (the guard drops during the
-    // unwind that supervision catches) — `ping` readiness counts actual
-    // workers, not spawned threads.
-    struct Alive<'a>(&'a AtomicUsize);
-    impl Drop for Alive<'_> {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, Ordering::Relaxed);
-        }
+/// One worker's registration in `workers_alive`, withdrawn on drop.
+/// Liveness accounting survives panics: the guard drops during the
+/// unwind that supervision catches, and the restarted run registers
+/// again — `ping` readiness counts running workers, not spawned threads.
+struct Alive(Arc<Shared>);
+
+impl Alive {
+    fn register(shared: &Arc<Shared>) -> Alive {
+        shared.workers_alive.fetch_add(1, Ordering::Relaxed);
+        Alive(shared.clone())
     }
-    shared.workers_alive.fetch_add(1, Ordering::Relaxed);
-    let _alive = Alive(&shared.workers_alive);
+}
+
+impl Drop for Alive {
+    fn drop(&mut self) {
+        self.0.workers_alive.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+fn worker_loop(shared: &Arc<Shared>, home: usize, _alive: Alive) {
     while let Some(job) = shared.shards.pop(home) {
         // Tee the request's span tree out of the thread-local buffers:
         // the worker has no span open outside `process`, so everything
